@@ -85,20 +85,13 @@ def select_candidates(
         return total
 
     hub = min(programmable, key=closeness)
+    # Rank reachable peers by distance from the hub (stable sort, so
+    # ties keep the network's order); unreachable switches drop out.
+    from_hub = {v: paths.shortest(hub, v) for v in programmable if v != hub}
     ranked = [hub] + sorted(
-        (v for v in programmable if v != hub),
-        key=lambda v: (
-            paths.shortest(hub, v).latency_us
-            if paths.shortest(hub, v)
-            else math.inf
-        ),
+        (v for v, path in from_hub.items() if path is not None),
+        key=lambda v: from_hub[v].latency_us,
     )
-    # Drop unreachable switches.
-    ranked = [
-        v
-        for v in ranked
-        if v == hub or paths.shortest(hub, v) is not None
-    ]
 
     demand = tdg.total_resource_demand()
     limit = len(ranked)

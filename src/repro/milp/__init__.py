@@ -4,7 +4,8 @@ The paper solves its deployment problem P#1 with Gurobi.  Offline we
 build the same capability from first principles: a small modeling API
 (:class:`Model`, :class:`Var`, :class:`LinExpr`, :class:`Constraint`)
 and an exact solver — best-first branch & bound over LP relaxations
-solved by ``scipy.optimize.linprog`` (HiGHS).
+solved by HiGHS: one persistent model per search through scipy's
+bundled bindings, or ``scipy.optimize.linprog`` when scipy lacks them.
 
 The solver is exact on the model it is given (it proves optimality via
 LP bounds), supports binary/integer/continuous variables, <=/>=/==

@@ -1,7 +1,12 @@
 """Exact MILP solving: best-first branch & bound over LP relaxations.
 
-Every node relaxes integrality and solves the LP with HiGHS (through
-``scipy.optimize.linprog``).  Fractional integral variables trigger two
+Every node relaxes integrality and solves the LP with HiGHS.  The
+nodes of one search differ only in variable bounds, so the search loads
+its model into one HiGHS instance (scipy's bundled bindings) and per LP
+changes the bounds and solves cold, which returns exactly what
+``scipy.optimize.linprog`` would; when scipy lacks the bindings each LP
+is a ``linprog`` call (``tests/milp/test_lp_backend.py`` holds the
+two to bit-equal answers).  Fractional integral variables trigger two
 child nodes (floor / ceil bound splits); nodes whose LP bound cannot
 beat the incumbent are pruned.
 
@@ -27,17 +32,18 @@ differ only in how fast they get there.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
-
-from typing import Union
 
 from repro.milp import heuristics as _heuristics
 from repro.milp.model import Model, Var
@@ -59,6 +65,171 @@ PROFILE_FAST = "fast"
 PROFILE_CLASSIC = "classic"
 SOLVER_PROFILES = (PROFILE_FAST, PROFILE_CLASSIC)
 DEFAULT_PROFILE = PROFILE_FAST
+
+
+@functools.lru_cache(maxsize=None)
+def _highs_api() -> Optional[SimpleNamespace]:
+    """Scipy's bundled HiGHS bindings, or None when they are missing.
+
+    They are private, so the probe checks every name :class:`_HighsLp`
+    uses.  It runs on first use, not at import.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+        from scipy.optimize._linprog_highs import (
+            _highs_to_scipy_status_message,
+        )
+        from scipy.optimize._linprog_util import _check_result
+
+        for name in (
+            "passOptions", "passModel", "changeColsBounds", "clearSolver",
+            "run", "getModelStatus", "getInfo", "getSolution",
+            "modelStatusToString", "solutionStatusToString",
+        ):
+            getattr(_core._Highs, name)
+        return SimpleNamespace(
+            core=_core,
+            dual=_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+            status_message=_highs_to_scipy_status_message,
+            check_result=_check_result,
+        )
+    except (ImportError, AttributeError):
+        return None
+
+
+class _HighsLp:
+    """One HiGHS model for every LP relaxation of a search.
+
+    The nodes of a search differ only in column bounds, so the model is
+    stacked and loaded once and each LP changes the bounds and re-runs.
+    ``clearSolver`` drops the previous basis first: every LP is a cold
+    solve with ``linprog``'s options, so it returns bit for bit what
+    ``linprog(..., method="highs")`` returns, check of the solution
+    included.  (Reusing the basis is faster but lands on other optimal
+    vertices of degenerate LPs, which changes branching.)
+    """
+
+    def __init__(
+        self,
+        api: SimpleNamespace,
+        c: np.ndarray,
+        a_ub: Optional[sparse.spmatrix],
+        b_ub: Optional[np.ndarray],
+        a_eq: Optional[sparse.spmatrix],
+        b_eq: Optional[np.ndarray],
+    ) -> None:
+        core = api.core
+        self._api = api
+        n = len(c)
+        # The same stacking as linprog: empty blocks for missing rows,
+        # A_ub above A_eq, and lhs <= A x <= rhs rows for HiGHS.
+        b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, float)
+        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float)
+        blocks = [
+            sparse.coo_array((0, n) if a is None else a, dtype=float)
+            for a in (a_ub, a_eq)
+        ]
+        matrix = sparse.csc_array(sparse.vstack(blocks))
+        self._m_ub = len(b_ub)
+        self._rhs = np.concatenate((b_ub, b_eq))
+        self._cols = np.arange(n, dtype=np.int32)
+
+        model = core.HighsLp()
+        model.num_col_ = n
+        model.num_row_ = len(self._rhs)
+        model.a_matrix_.num_col_ = n
+        model.a_matrix_.num_row_ = len(self._rhs)
+        model.a_matrix_.format_ = core.MatrixFormat.kColwise
+        model.col_cost_ = np.asarray(c, dtype=float)
+        model.col_lower_ = np.zeros(n)
+        model.col_upper_ = np.zeros(n)
+        model.row_lower_ = np.concatenate(
+            (np.full(self._m_ub, -np.inf), b_eq)
+        )
+        model.row_upper_ = self._rhs
+        model.a_matrix_.start_ = matrix.indptr
+        model.a_matrix_.index_ = matrix.indices
+        model.a_matrix_.value_ = matrix.data
+
+        options = core.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = api.dual
+        self._highs = core._Highs()
+        self._highs.passOptions(options)
+        self._loaded = (
+            self._highs.passModel(model) != core.HighsStatus.kError
+        )
+
+    def __call__(self, bounds: List[Tuple[float, float]]) -> SimpleNamespace:
+        """Solve the LP under ``bounds``; a ``linprog``-style result."""
+        api, core, highs = self._api, self._api.core, self._highs
+        box = np.array(bounds, dtype=float)
+        x = fun = slack = con = None
+        if not self._loaded:
+            status = core.HighsModelStatus.kModelError
+            message = highs.modelStatusToString(status)
+        else:
+            highs.changeColsBounds(
+                len(self._cols), self._cols, box[:, 0], box[:, 1]
+            )
+            highs.clearSolver()
+            ran = highs.run()
+            status = highs.getModelStatus()
+            message = highs.modelStatusToString(status)
+            # A run that errs reports the model status alone.
+            if ran == core.HighsStatus.kError:
+                pass
+            elif status == core.HighsModelStatus.kOptimal:
+                solution = highs.getSolution()
+                x = np.array(solution.col_value)
+                fun = highs.getInfo().objective_function_value
+                residual = self._rhs - solution.row_value
+                slack, con = residual[: self._m_ub], residual[self._m_ub :]
+            else:
+                primal = highs.getInfo().primal_solution_status
+                message = (
+                    f"model_status is {message}; primal_status is "
+                    f"{highs.solutionStatusToString(primal)}"
+                )
+        # linprog's status codes and its check of the returned point.
+        code, message = api.status_message(status, message)
+        code, message = api.check_result(
+            x, fun, code, slack, con, box, 1e-9, message, None
+        )
+        return SimpleNamespace(status=code, x=x, fun=fun, message=message)
+
+
+def _lp_backend(
+    c: np.ndarray,
+    a_ub: Optional[sparse.spmatrix],
+    b_ub: Optional[np.ndarray],
+    a_eq: Optional[sparse.spmatrix],
+    b_eq: Optional[np.ndarray],
+) -> _heuristics.LpOracle:
+    """The LP oracle of one search: bounds -> a ``linprog``-style result.
+
+    A persistent :class:`_HighsLp` when scipy ships the HiGHS bindings,
+    else a ``linprog`` call per LP (the same answers, rebuilt each time).
+    """
+    api = _highs_api()
+    if api is not None:
+        return _HighsLp(api, c, a_ub, b_ub, a_eq, b_eq)
+
+    def solve(bounds: List[Tuple[float, float]]):
+        return linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=bounds,
+            method="highs",
+        )
+
+    return solve
 
 
 @dataclass(order=True)
@@ -351,19 +522,13 @@ class BranchBoundSolver:
                 incumbent_obj = float(c @ candidate)
                 emit_incumbent("warm_start", incumbent_obj, None)
 
+        solve_lp = _lp_backend(c, a_ub, b_ub, a_eq, b_eq)
+
         def lp(bounds: List[Tuple[float, float]]):
             nonlocal lp_solves
             lp_solves += 1
             emit("solver.lp")
-            return linprog(
-                c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=bounds,
-                method="highs",
-            )
+            return solve_lp(bounds)
 
         root = lp(root_bounds)
         if root.status == 2:

@@ -33,8 +33,9 @@ from repro.telemetry import emit
 
 _INT_TOL = 1e-6
 
-#: Signature of the LP oracle the solver passes in: bounds -> linprog
-#: result (the solver counts the LP solve and emits ``solver.lp``).
+#: Signature of the LP oracle the solver passes in: bounds -> a
+#: linprog-style result (the solver counts the LP solve and emits
+#: ``solver.lp``).
 LpOracle = Callable[[List[Tuple[float, float]]], object]
 #: Signature of the feasibility predicate over candidate points.
 FeasibleFn = Callable[[np.ndarray], bool]

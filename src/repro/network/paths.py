@@ -5,7 +5,10 @@ so the framework needs, for every ordered switch pair, a set of
 candidate paths together with their latencies.  Enumerating *all*
 simple paths is exponential; following standard practice we enumerate
 the ``k`` shortest loop-free paths by latency (Yen's algorithm on top
-of Dijkstra) and let ``k`` bound the decision-variable blow-up.
+of Dijkstra) and let ``k`` bound the decision-variable blow-up.  Only
+the explicit-path formulation needs those sets; every other caller
+asks for the single shortest path, which :class:`PathEnumerator` reads
+from one Dijkstra tree per source instead.
 
 ``t_p(p)`` sums the switch latencies ``t_s`` and link latencies ``t_l``
 along the path, matching the paper's definition.
@@ -74,24 +77,30 @@ def path_latency_us(network: Network, switches: Sequence[str]) -> float:
     return total
 
 
-def _dijkstra(
+def _settle(
     network: Network,
     source: str,
-    target: str,
+    target: Optional[str] = None,
     banned_nodes: Optional[Set[str]] = None,
     banned_links: Optional[Set[Tuple[str, str]]] = None,
-) -> Optional[List[str]]:
-    """Latency-shortest path avoiding banned nodes/links, or None."""
+) -> Tuple[Dict[str, str], Set[str]]:
+    """Latency Dijkstra from ``source``: ``(predecessors, settled)``.
+
+    Stops as soon as ``target`` is settled; with no target it settles
+    every reachable switch, which yields the whole shortest-path tree.
+    Settled switches are never relaxed again, so the tree path to any
+    switch is exactly the path a search stopped at that switch finds.
+    """
     banned_nodes = banned_nodes or set()
     banned_links = banned_links or set()
+    prev: Dict[str, str] = {}
+    visited: Set[str] = set()
     if source in banned_nodes or target in banned_nodes:
-        return None
+        return prev, visited
     # Node cost model: entering a switch costs t_s, traversing a link
     # costs t_l; the source's t_s is added up front.
     dist: Dict[str, float] = {source: network.switch(source).latency_us}
-    prev: Dict[str, str] = {}
     heap: List[Tuple[float, str]] = [(dist[source], source)]
-    visited: Set[str] = set()
     while heap:
         d, current = heapq.heappop(heap)
         if current in visited:
@@ -111,13 +120,32 @@ def _dijkstra(
                 dist[nxt] = cand
                 prev[nxt] = current
                 heapq.heappush(heap, (cand, nxt))
-    if target not in visited:
-        return None
+    return prev, visited
+
+
+def _trace(prev: Dict[str, str], source: str, target: str) -> List[str]:
+    """The switch sequence from ``source`` to ``target`` in ``prev``."""
     order = [target]
     while order[-1] != source:
         order.append(prev[order[-1]])
     order.reverse()
     return order
+
+
+def _dijkstra(
+    network: Network,
+    source: str,
+    target: str,
+    banned_nodes: Optional[Set[str]] = None,
+    banned_links: Optional[Set[Tuple[str, str]]] = None,
+) -> Optional[List[str]]:
+    """Latency-shortest path avoiding banned nodes/links, or None."""
+    prev, visited = _settle(
+        network, source, target, banned_nodes, banned_links
+    )
+    if target not in visited:
+        return None
+    return _trace(prev, source, target)
 
 
 def shortest_path(network: Network, source: str, target: str) -> Optional[Path]:
@@ -172,7 +200,13 @@ def k_shortest_paths(
 
 
 class PathEnumerator:
-    """Cached per-pair path enumeration.
+    """Cached path queries over one network.
+
+    :meth:`shortest` and :meth:`reachable` read a single-source
+    shortest-path tree, built once per source on first use; only
+    :meth:`paths` (the explicit ``P(u, v)`` sets) runs Yen's algorithm.
+    A tree path is exactly ``paths(u, v)[0]``: both come from the same
+    Dijkstra, and the latency is summed by :func:`path_latency_us`.
 
     Args:
         network: The substrate network.
@@ -185,6 +219,12 @@ class PathEnumerator:
         self.network = network
         self.k = k
         self._cache: Dict[Tuple[str, str], List[Path]] = {}
+        self._trees: Dict[str, Tuple[Dict[str, str], Set[str]]] = {}
+        self._shortest: Dict[Tuple[str, str], Optional[Path]] = {}
+
+    def _trivial(self, switch: str) -> Path:
+        """``P(u, u)``: the single-switch path."""
+        return Path((switch,), self.network.switch(switch).latency_us)
 
     def paths(self, source: str, target: str) -> List[Path]:
         """``P(u, v)`` — candidate paths, shortest first.
@@ -194,12 +234,7 @@ class PathEnumerator:
         key = (source, target)
         if key not in self._cache:
             if source == target:
-                self._cache[key] = [
-                    Path(
-                        (source,),
-                        self.network.switch(source).latency_us,
-                    )
-                ]
+                self._cache[key] = [self._trivial(source)]
             else:
                 self._cache[key] = k_shortest_paths(
                     self.network, source, target, self.k
@@ -207,8 +242,23 @@ class PathEnumerator:
         return self._cache[key]
 
     def shortest(self, source: str, target: str) -> Optional[Path]:
-        paths = self.paths(source, target)
-        return paths[0] if paths else None
+        """The latency-shortest path, or None when unreachable."""
+        key = (source, target)
+        if key not in self._shortest:
+            self._shortest[key] = self._tree_path(source, target)
+        return self._shortest[key]
+
+    def _tree_path(self, source: str, target: str) -> Optional[Path]:
+        if source == target:
+            return self._trivial(source)
+        tree = self._trees.get(source)
+        if tree is None:
+            tree = self._trees[source] = _settle(self.network, source)
+        prev, settled = tree
+        if target not in settled:
+            return None
+        nodes = _trace(prev, source, target)
+        return Path(tuple(nodes), path_latency_us(self.network, nodes))
 
     def reachable(self, source: str, target: str) -> bool:
-        return bool(self.paths(source, target))
+        return self.shortest(source, target) is not None

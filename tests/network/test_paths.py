@@ -1,7 +1,10 @@
 """Unit tests for path enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.network.catalog import resolve
 from repro.network.generators import linear_topology
 from repro.network.paths import (
     Path,
@@ -114,3 +117,95 @@ class TestPathEnumerator:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             PathEnumerator(diamond(), k=0)
+
+
+#: The networks candidate ranking runs on: the ten Table III
+#: topologies plus two seeded random WANs.
+TABLE_III = [f"topozoo-{i}" for i in range(1, 11)]
+WANS = ["wan:16:24:3", "wan:40:80:5"]
+
+
+def assert_tree_matches(net, oracle):
+    """``PathEnumerator.shortest`` equals ``oracle(u, v)`` on every
+    ordered pair: the same switches and the same latency float."""
+    enum = PathEnumerator(net)
+    names = net.switch_names
+    for u in names:
+        for v in names:
+            want = oracle(u, v)
+            got = enum.shortest(u, v)
+            assert enum.reachable(u, v) is (want is not None), (u, v)
+            if want is None:
+                assert got is None, (u, v)
+            else:
+                assert got.switches == want.switches, (u, v)
+                assert got.latency_us == want.latency_us, (u, v)
+
+
+def first_of_yen(net):
+    def oracle(u, v):
+        found = k_shortest_paths(net, u, v, 3)
+        return found[0] if found else None
+
+    return oracle
+
+
+class TestShortestPathTree:
+    """The per-source trees against the per-pair searches they replace."""
+
+    @pytest.mark.parametrize("spec", WANS)
+    def test_matches_yen_on_seeded_wans(self, spec):
+        net = resolve(spec)
+        assert_tree_matches(net, first_of_yen(net))
+
+    @pytest.mark.parametrize("spec", TABLE_III)
+    def test_matches_dijkstra_on_table_iii(self, spec):
+        # Yen's first path is this per-pair search (the full Yen sweep
+        # below is slow-marked).
+        net = resolve(spec)
+        assert_tree_matches(net, lambda u, v: shortest_path(net, u, v))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("spec", TABLE_III)
+    def test_matches_yen_on_table_iii(self, spec):
+        net = resolve(spec)
+        assert_tree_matches(net, first_of_yen(net))
+
+    def test_trees_bypass_yen(self, monkeypatch):
+        net = resolve(WANS[0])
+        enum = PathEnumerator(net)
+        monkeypatch.setattr(
+            enum, "paths", lambda *a: pytest.fail("paths() called")
+        )
+        for u in net.switch_names:
+            for v in net.switch_names:
+                enum.reachable(u, v)
+        assert len(enum._trees) == net.num_switches
+
+
+@st.composite
+def tie_heavy_networks(draw):
+    """Small graphs whose many equal-latency routes stress tie-breaking.
+
+    Link latencies are 0, 1 or 2 ms and every switch has the same
+    latency, so equal-cost paths abound; a two-switch island is never
+    reachable from the rest.
+    """
+    n = draw(st.integers(2, 7))
+    net = Network("ties")
+    for i in range(n):
+        net.add_switch(Switch(f"s{i}", latency_us=1.0))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    latency = st.sampled_from([0, 1, 2])
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        net.connect(f"s{i}", f"s{j}", latency_ms=draw(latency))
+    net.add_switch(Switch("x0", latency_us=1.0))
+    net.add_switch(Switch("x1", latency_us=1.0))
+    net.connect("x0", "x1", latency_ms=draw(latency))
+    return net
+
+
+@settings(max_examples=80, deadline=None)
+@given(tie_heavy_networks())
+def test_tree_agrees_with_shortest_path_under_ties(net):
+    assert_tree_matches(net, lambda u, v: shortest_path(net, u, v))
