@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import (
+from repro.plan import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,

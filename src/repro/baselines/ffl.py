@@ -17,7 +17,7 @@ from repro.baselines.base import (
     route_all_pairs,
     schedule_on_chain,
 )
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.dataplane.program import Program
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network

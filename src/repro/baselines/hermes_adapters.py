@@ -12,11 +12,10 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from repro.baselines.base import DeploymentFramework
-from repro.core.deployment import DeploymentError, DeploymentPlan
+from repro.plan import DeploymentError, DeploymentPlan
 from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
 from repro.milp.solution import SolveStatus
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
@@ -62,13 +61,11 @@ class HermesOptimal(DeploymentFramework):
         max_candidates: Optional[int] = 8,
         epsilon1: float = math.inf,
         epsilon2: Optional[int] = None,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         self.time_limit_s = time_limit_s
         self.max_candidates = max_candidates
         self.epsilon1 = epsilon1
         self.epsilon2 = epsilon2
-        self.solver_profile = solver_profile
 
     def _place(
         self,
@@ -82,7 +79,6 @@ class HermesOptimal(DeploymentFramework):
             epsilon2=self.epsilon2,
             max_candidates=self.max_candidates,
             time_limit_s=self.time_limit_s,
-            solver_profile=self.solver_profile,
         )
         heuristic = GreedyHeuristic(
             epsilon1=self.epsilon1, epsilon2=self.epsilon2

@@ -21,11 +21,11 @@ from repro.baselines.base import (
     route_all_pairs,
     schedule_on_chain,
 )
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.dataplane.program import Program
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model
-from repro.milp.branch_bound import DEFAULT_PROFILE, BranchBoundSolver
+from repro.milp.branch_bound import BranchBoundSolver
 from repro.milp.solution import SolveStatus
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
@@ -37,7 +37,6 @@ def stage_minimizing_order(
     segment: Tdg,
     stage_capacity: float,
     time_limit_s: float,
-    solver_profile: str = DEFAULT_PROFILE,
 ) -> Tuple[List[str], bool]:
     """Order ``segment``'s MATs by a stage-count-minimizing ILP layout.
 
@@ -94,9 +93,7 @@ def stage_minimizing_order(
         model.add_constr(makespan >= stage_of(a))
     model.minimize(makespan)
 
-    solution = BranchBoundSolver(
-        time_limit_s=time_limit_s, profile=solver_profile
-    ).solve(model)
+    solution = BranchBoundSolver(time_limit_s=time_limit_s).solve(model)
     timed_out = solution.status in (
         SolveStatus.FEASIBLE,
         SolveStatus.TIME_LIMIT,
@@ -122,13 +119,8 @@ class MinStage(DeploymentFramework):
     name = "MS"
     merges = False
 
-    def __init__(
-        self,
-        time_limit_s: float = 5.0,
-        solver_profile: str = DEFAULT_PROFILE,
-    ) -> None:
+    def __init__(self, time_limit_s: float = 5.0) -> None:
         self.time_limit_s = time_limit_s
-        self.solver_profile = solver_profile
 
     def program_order(self, programs: Sequence[Program]) -> List[Program]:
         """Deployment order of programs; MS keeps the input order."""
@@ -154,10 +146,7 @@ class MinStage(DeploymentFramework):
             ]
             segment = tdg.subgraph(node_names, name=program.name)
             program_order, program_timeout = stage_minimizing_order(
-                segment,
-                stage_capacity,
-                self.time_limit_s,
-                solver_profile=self.solver_profile,
+                segment, stage_capacity, self.time_limit_s
             )
             timed_out = timed_out or program_timeout
             order.extend(program_order)

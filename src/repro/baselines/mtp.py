@@ -13,10 +13,9 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from repro.baselines.speed import Speed
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.core.formulation import MilpFormulation
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -33,11 +32,8 @@ class Mtp(Speed):
         max_candidates: Optional[int] = 8,
         epsilon2: Optional[int] = None,
         spread_factor: int = 3,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
-        super().__init__(
-            time_limit_s, max_candidates, epsilon2, solver_profile
-        )
+        super().__init__(time_limit_s, max_candidates, epsilon2)
         if spread_factor < 1:
             raise ValueError("spread_factor must be >= 1")
         self.spread_factor = spread_factor
@@ -51,7 +47,6 @@ class Mtp(Speed):
             max_candidates=self.max_candidates,
             time_limit_s=self.time_limit_s,
             max_mats_per_switch=self._mats_cap,
-            solver_profile=self.solver_profile,
         )
 
     def _place(

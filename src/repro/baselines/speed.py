@@ -18,10 +18,9 @@ from repro.baselines.base import (
     route_all_pairs,
     schedule_on_chain,
 )
-from repro.core.deployment import DeploymentError, DeploymentPlan
+from repro.plan import DeploymentError, DeploymentPlan
 from repro.core.formulation import OBJECTIVE_LATENCY, MilpFormulation
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
 from repro.milp.solution import SolveStatus
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
@@ -40,12 +39,10 @@ class Speed(DeploymentFramework):
         time_limit_s: float = 30.0,
         max_candidates: Optional[int] = 8,
         epsilon2: Optional[int] = None,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         self.time_limit_s = time_limit_s
         self.max_candidates = max_candidates
         self.epsilon2 = epsilon2
-        self.solver_profile = solver_profile
 
     def _formulation(self) -> MilpFormulation:
         return MilpFormulation(
@@ -54,7 +51,6 @@ class Speed(DeploymentFramework):
             epsilon2=self.epsilon2,
             max_candidates=self.max_candidates,
             time_limit_s=self.time_limit_s,
-            solver_profile=self.solver_profile,
         )
 
     def _place(

@@ -138,7 +138,6 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "epsilon2": args.epsilon2,
         "time_limit_s": args.time_limit,
-        "solver_profile": args.solver_profile,
         "replicate": args.replicate,
         "verify": args.verify,
         "configs": args.configs,
@@ -294,7 +293,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "mode": args.mode,
         "time_limit_s": args.time_limit,
-        "solver_profile": args.solver_profile,
         "engine": args.engine,
         "load": args.load,
         "overhead": args.overhead,
@@ -653,7 +651,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             num_programs=args.programs,
             ilp_time_limit_s=args.time_limit,
             runner=runner,
-            solver_profile=args.solver_profile,
         )
         {
             "exp2": exp2_overhead.main,
@@ -674,7 +671,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             program_counts=tuple(args.programs_sweep),
             ilp_time_limit_s=args.time_limit,
             runner=runner,
-            solver_profile=args.solver_profile,
         )
         exp5_scalability.main(points)
         _maybe_export(
@@ -775,21 +771,6 @@ def _maybe_export(args: argparse.Namespace, rows: list) -> None:
     print(f"wrote {len(rows)} rows to {path}")
 
 
-def _add_solver_profile_flag(p: argparse.ArgumentParser) -> None:
-    from repro.milp.branch_bound import DEFAULT_PROFILE, SOLVER_PROFILES
-
-    p.add_argument(
-        "--solver-profile",
-        choices=tuple(SOLVER_PROFILES),
-        default=DEFAULT_PROFILE,
-        help=(
-            "branch & bound search profile: 'fast' adds presolve, "
-            "pseudo-cost branching and primal heuristics; 'classic' is "
-            "the plain most-fractional search (both are exact)"
-        ),
-    )
-
-
 def _add_engine_flag(p: argparse.ArgumentParser, default) -> None:
     """The ``--engine``/``--load`` knobs shared by simulate and churn."""
     p.add_argument(
@@ -870,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--programs", type=int, default=50)
         p.add_argument("--time-limit", type=float, default=10.0)
         p.add_argument("--json", default=None, help="export rows to a JSON file")
-        _add_solver_profile_flag(p)
         _add_runner_flags(p)
 
     p5 = sub.add_parser("exp5", help="run exp5 scalability")
@@ -882,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p5.add_argument("--time-limit", type=float, default=10.0)
     p5.add_argument("--json", default=None, help="export rows to a JSON file")
-    _add_solver_profile_flag(p5)
     _add_runner_flags(p5)
 
     p7 = sub.add_parser("exp7", help="run exp7 disruption under churn")
@@ -911,7 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d.add_argument("--epsilon2", type=int, default=None)
     d.add_argument("--time-limit", type=float, default=30.0)
-    _add_solver_profile_flag(d)
     d.add_argument("--replicate", action="store_true")
     d.add_argument("--diagram", action="store_true")
     d.add_argument("--explain", action="store_true")
@@ -1173,7 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("heuristic", "optimal"), default="heuristic"
     )
     sim.add_argument("--time-limit", type=float, default=30.0)
-    _add_solver_profile_flag(sim)
     _add_engine_flag(sim, default="analytic")
     sim.add_argument(
         "--overhead",

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.dataplane.mat import Mat
 from repro.dataplane.rules import Rule
 

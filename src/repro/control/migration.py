@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Optional
 
-from repro.core.deployment import DeploymentError, DeploymentPlan
+from repro.plan import DeploymentError, DeploymentPlan
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.rules import Rule
 from repro.network.topology import Network

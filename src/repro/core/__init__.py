@@ -15,7 +15,7 @@ The pipeline mirrors Figure 3:
 :class:`Hermes` is the facade tying the steps together.
 """
 
-from repro.core.deployment import (
+from repro.plan import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,

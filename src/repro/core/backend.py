@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.coordination import CoordinationAnalysis
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.dataplane.mat import ResourceDemand
 
 

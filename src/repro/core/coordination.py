@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.dataplane.fields import Field, FieldSet
 from repro.dataplane.mat import Mat
 from repro.tdg.dependencies import DependencyType

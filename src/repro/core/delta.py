@@ -43,14 +43,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.deployment import DeploymentError, DeploymentPlan
+from repro.plan import DeploymentError, DeploymentPlan
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model, Var
-from repro.milp.branch_bound import (
-    DEFAULT_PROFILE,
-    SOLVER_PROFILES,
-    BranchBoundSolver,
-)
+from repro.milp.branch_bound import BranchBoundSolver
 from repro.milp.presolve import PresolveCache
 from repro.milp.solution import Solution
 from repro.network.paths import PathEnumerator
@@ -170,10 +166,9 @@ class DeltaFormulation:
             short; an expired delta solve escalates, it never blocks
             the reconciler the way a cold solve can.
         node_limit: Branch & bound node budget, same rationale.
-        solver_profile: Search profile (``"fast"`` / ``"classic"``).
-            The fast profile is the point: its presolve output is
-            reused across structurally identical delta models through
-            the instance's shared :class:`PresolveCache`.
+
+    The presolve output is reused across structurally identical delta
+    models through the instance's shared :class:`PresolveCache`.
     """
 
     def __init__(
@@ -181,17 +176,10 @@ class DeltaFormulation:
         max_candidates: Optional[int] = 8,
         time_limit_s: float = 5.0,
         node_limit: int = 50_000,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
-        if solver_profile not in SOLVER_PROFILES:
-            raise ValueError(
-                f"solver_profile must be one of {SOLVER_PROFILES}, "
-                f"got {solver_profile!r}"
-            )
         self.max_candidates = max_candidates
         self.time_limit_s = time_limit_s
         self.node_limit = node_limit
-        self.solver_profile = solver_profile
         #: Shared across solves: consecutive replans of structurally
         #: identical delta models skip presolve entirely.
         self.presolve_cache = PresolveCache()
@@ -414,7 +402,6 @@ class DeltaFormulation:
         solution = BranchBoundSolver(
             time_limit_s=self.time_limit_s,
             node_limit=self.node_limit,
-            profile=self.solver_profile,
             presolve_cache=self.presolve_cache,
         ).solve(handles.model, initial=initial)
         self.last_solution = solution

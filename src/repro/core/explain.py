@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 
 
 @dataclass(frozen=True)

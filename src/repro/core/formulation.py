@@ -34,15 +34,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.deployment import DeploymentError, DeploymentPlan, MatPlacement
+from repro.plan import DeploymentError, DeploymentPlan, MatPlacement
 from repro.core.stages import StageAssignmentError, assign_stages
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model, Var
-from repro.milp.branch_bound import (
-    DEFAULT_PROFILE,
-    SOLVER_PROFILES,
-    BranchBoundSolver,
-)
+from repro.milp.branch_bound import BranchBoundSolver
 from repro.milp.solution import Solution
 from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
@@ -147,10 +143,6 @@ class MilpFormulation:
         time_limit_s: Branch & bound wall-clock budget.
         max_mats_per_switch: Optional per-switch MAT-count cap (used by
             the MTP baseline to spread control-plane load).
-        solver_profile: Branch & bound search profile (``"fast"`` or
-            ``"classic"``; see :mod:`repro.milp.branch_bound`).  Both
-            are exact — the profile only changes how quickly optimality
-            is proven.
     """
 
     def __init__(
@@ -162,7 +154,6 @@ class MilpFormulation:
         explicit_paths: bool = False,
         time_limit_s: float = 60.0,
         max_mats_per_switch: Optional[int] = None,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         if objective not in _OBJECTIVES:
             raise ValueError(
@@ -172,11 +163,6 @@ class MilpFormulation:
             raise ValueError("epsilon1 must be positive")
         if epsilon2 is not None and epsilon2 <= 0:
             raise ValueError("epsilon2 must be positive")
-        if solver_profile not in SOLVER_PROFILES:
-            raise ValueError(
-                f"solver_profile must be one of {SOLVER_PROFILES}, "
-                f"got {solver_profile!r}"
-            )
         self.objective = objective
         self.epsilon1 = epsilon1
         self.epsilon2 = epsilon2
@@ -184,7 +170,6 @@ class MilpFormulation:
         self.explicit_paths = explicit_paths
         self.time_limit_s = time_limit_s
         self.max_mats_per_switch = max_mats_per_switch
-        self.solver_profile = solver_profile
         #: Solver outcome of the most recent :meth:`deploy` call;
         #: experiments read it to distinguish proven-optimal runs from
         #: time-limited incumbents.
@@ -393,8 +378,7 @@ class MilpFormulation:
                 else None
             )
             solution = BranchBoundSolver(
-                time_limit_s=self.time_limit_s,
-                profile=self.solver_profile,
+                time_limit_s=self.time_limit_s
             ).solve(handles.model, initial=initial)
             self.last_solution = solution
             if not solution.status.has_solution:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.deployment import DeploymentError, DeploymentPlan, MatPlacement
+from repro.plan import DeploymentError, DeploymentPlan, MatPlacement
 from repro.core.formulation import select_candidates
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model, Var
-from repro.milp.branch_bound import DEFAULT_PROFILE, BranchBoundSolver
+from repro.milp.branch_bound import BranchBoundSolver
 from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -42,7 +42,6 @@ class StagewiseMilp:
         epsilon2: Occupied-switch bound (Eq. 5).
         time_limit_s: Branch & bound budget.
         max_candidates: Candidate-switch cap.
-        solver_profile: Branch & bound search profile.
     """
 
     def __init__(
@@ -50,12 +49,10 @@ class StagewiseMilp:
         epsilon2: Optional[int] = None,
         time_limit_s: float = 120.0,
         max_candidates: Optional[int] = 3,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         self.epsilon2 = epsilon2
         self.time_limit_s = time_limit_s
         self.max_candidates = max_candidates
-        self.solver_profile = solver_profile
         self.last_solution = None
 
     def deploy(
@@ -85,9 +82,9 @@ class StagewiseMilp:
                     )
 
         model, x, stage_count = self._build(tdg, network, cand)
-        solution = BranchBoundSolver(
-            time_limit_s=self.time_limit_s, profile=self.solver_profile
-        ).solve(model)
+        solution = BranchBoundSolver(time_limit_s=self.time_limit_s).solve(
+            model
+        )
         self.last_solution = solution
         if not solution.status.has_solution:
             raise DeploymentError(

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -75,8 +74,6 @@ class Hermes:
         replicate_hubs: Hub-replication policy for heuristic mode
             (False | True | "auto"; see
             :mod:`repro.core.replication`).
-        solver_profile: Branch & bound search profile for optimal mode
-            (``"fast"`` or ``"classic"``).
     """
 
     def __init__(
@@ -88,7 +85,6 @@ class Hermes:
         time_limit_s: float = 60.0,
         max_candidates: Optional[int] = 8,
         replicate_hubs=False,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         if mode not in (MODE_HEURISTIC, MODE_OPTIMAL):
             raise ValueError(f"unknown mode {mode!r}")
@@ -99,7 +95,6 @@ class Hermes:
         self.time_limit_s = time_limit_s
         self.max_candidates = max_candidates
         self.replicate_hubs = replicate_hubs
-        self.solver_profile = solver_profile
 
     def analyze(self, programs: Sequence[Program]) -> Tdg:
         """Step 1 only: run the program analyzer."""
@@ -149,7 +144,6 @@ class Hermes:
                 epsilon2=self.epsilon2,
                 time_limit_s=self.time_limit_s,
                 max_candidates=self.max_candidates,
-                solver_profile=self.solver_profile,
             )
             plan = formulation.deploy(tdg, network, paths)
         return plan, time.perf_counter() - start

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.deployment import DeploymentError, DeploymentPlan
+from repro.plan import DeploymentError, DeploymentPlan
 from repro.core.stages import StageAssignmentError, assign_stages, segment_fits
 from repro.network.paths import PathEnumerator
 from repro.plan.builder import PlanBuilder

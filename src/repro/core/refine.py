@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.deployment import DeploymentError, DeploymentPlan
+from repro.plan import DeploymentError, DeploymentPlan
 from repro.core.stages import StageAssignmentError, assign_stages
 from repro.network.paths import PathEnumerator
 from repro.plan.builder import PlanBuilder

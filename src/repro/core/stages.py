@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.deployment import MatPlacement
+from repro.plan import MatPlacement
 from repro.network.switch import Switch
 from repro.tdg.graph import Tdg
 

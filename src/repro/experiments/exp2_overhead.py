@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.baselines.base import DeploymentFramework
 from repro.experiments.harness import DeploymentRecord
 from repro.experiments.reporting import Table, pivot_records
-from repro.milp.branch_bound import DEFAULT_PROFILE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentRunner
@@ -64,7 +63,6 @@ def suite_spec(
     num_programs: int = NUM_PROGRAMS,
     seed: int = 7,
     ilp_time_limit_s: float = 10.0,
-    solver_profile: str = DEFAULT_PROFILE,
 ):
     """The Exp#2 suite spec for arbitrary sweep parameters (the
     shipped ``exp2.json`` is this at the paper's defaults)."""
@@ -77,8 +75,6 @@ def suite_spec(
             ilp_time_limit_s / 20.0, 0.2
         ),
     }
-    if solver_profile != DEFAULT_PROFILE:
-        frameworks["solver_profile"] = solver_profile
     return SuiteSpec.from_dict(
         {
             "suite": "repro.suite/v1",
@@ -110,7 +106,6 @@ def run(
     seed: int = 7,
     ilp_time_limit_s: float = 10.0,
     runner: Optional["ExperimentRunner"] = None,
-    solver_profile: str = DEFAULT_PROFILE,
 ) -> List[Exp2Point]:
     """Deploy the 50-program workload on each selected topology.
 
@@ -123,10 +118,7 @@ def run(
     from repro.suite import deployment_cells
 
     cells = deployment_cells(
-        suite_spec(
-            topology_ids, num_programs, seed, ilp_time_limit_s,
-            solver_profile,
-        ),
+        suite_spec(topology_ids, num_programs, seed, ilp_time_limit_s),
         frameworks_override=frameworks,
     )
     return [

@@ -20,7 +20,6 @@ from repro.baselines.base import DeploymentFramework
 from repro.experiments.exp2_overhead import workload, workload_spec
 from repro.experiments.harness import DeploymentRecord
 from repro.experiments.reporting import Table, pivot_records
-from repro.milp.branch_bound import DEFAULT_PROFILE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentRunner
@@ -51,7 +50,6 @@ def suite_spec(
     topology_id: int = TOPOLOGY_ID,
     seed: int = 7,
     ilp_time_limit_s: float = 10.0,
-    solver_profile: str = DEFAULT_PROFILE,
 ):
     """The Exp#5 suite spec for arbitrary sweep parameters (the
     shipped ``exp5.json`` is this at the paper's defaults)."""
@@ -64,8 +62,6 @@ def suite_spec(
             ilp_time_limit_s / 20.0, 0.2
         ),
     }
-    if solver_profile != DEFAULT_PROFILE:
-        frameworks["solver_profile"] = solver_profile
     return SuiteSpec.from_dict(
         {
             "suite": "repro.suite/v1",
@@ -97,7 +93,6 @@ def run(
     seed: int = 7,
     ilp_time_limit_s: float = 10.0,
     runner: Optional["ExperimentRunner"] = None,
-    solver_profile: str = DEFAULT_PROFILE,
 ) -> List[Exp5Point]:
     """Sweep the program count; the whole (framework x count) grid is
     one flat cell list so a parallel ``runner`` overlaps every solve,
@@ -107,10 +102,7 @@ def run(
     from repro.suite import deployment_cells
 
     cells = deployment_cells(
-        suite_spec(
-            program_counts, topology_id, seed, ilp_time_limit_s,
-            solver_profile,
-        ),
+        suite_spec(program_counts, topology_id, seed, ilp_time_limit_s),
         frameworks_override=frameworks,
     )
     return [

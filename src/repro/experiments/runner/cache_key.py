@@ -29,14 +29,15 @@ from repro.network.topology import Network
 
 #: Bump when the record layout or fingerprint scheme changes; old cache
 #: entries then miss instead of deserializing garbage.  v2: ILP-backed
-#: frameworks grew a ``solver_profile`` attribute, so their
-#: fingerprints changed shape.  v3: cache entries store the serialized
-#: deployment plan (``repro.plan`` canonical document) alongside the
-#: record, so v2 entries lack the plan payload.  v4: records carry the
-#: plan-aware end-to-end metrics (``plan_fct_ratio`` /
-#: ``plan_goodput_ratio``), so v3 entries would deserialize with stale
-#: defaults.
-CACHE_KEY_VERSION = 4
+#: frameworks grew an attribute naming their branch & bound search, so
+#: their fingerprints changed shape.  v3: cache entries store the
+#: serialized deployment plan (``repro.plan`` canonical document)
+#: alongside the record, so v2 entries lack the plan payload.  v4:
+#: records carry the plan-aware end-to-end metrics (``plan_fct_ratio``
+#: / ``plan_goodput_ratio``), so v3 entries would deserialize with
+#: stale defaults.  v5: the search attribute is gone (one search is
+#: left), so fingerprints changed shape again.
+CACHE_KEY_VERSION = 5
 
 
 def _canon(value: Any) -> Any:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.coordination import CoordinationAnalysis
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 
 
 def switch_box(plan: DeploymentPlan, switch: str, width: int = 26) -> List[str]:

@@ -14,13 +14,12 @@ callbacks.  It is deliberately a general-purpose component: both the
 Hermes "Optimal" configuration and every ILP-based baseline build their
 models against this API.
 
-The solver runs one of two profiles (see
-:mod:`repro.milp.branch_bound`): ``"fast"`` layers a presolve pass
-(:mod:`repro.milp.presolve`), pseudo-cost branching and primal
-heuristics (:mod:`repro.milp.heuristics`) on top of the search;
-``"classic"`` is the historical most-fractional search kept as the
-trusted differential baseline.  Both are exact and return identical
-optimal objectives.
+Every solve runs a presolve pass (:mod:`repro.milp.presolve`), then
+the search with pseudo-cost branching and primal heuristics
+(:mod:`repro.milp.heuristics`), then lifts the answer back onto the
+original model (see :mod:`repro.milp.branch_bound`).  The
+exhaustive-enumeration oracle of ``tests/milp/milp_testkit.py`` judges
+its answers.
 """
 
 from repro.milp.expr import LinExpr
@@ -34,17 +33,11 @@ from repro.milp.presolve import (
     presolve,
 )
 from repro.milp.solution import Solution, SolveStatus
-from repro.milp.branch_bound import (
-    DEFAULT_PROFILE,
-    SOLVER_PROFILES,
-    BranchBoundSolver,
-    solve,
-)
+from repro.milp.branch_bound import BranchBoundSolver, solve
 
 __all__ = [
     "BranchBoundSolver",
     "Constraint",
-    "DEFAULT_PROFILE",
     "LinExpr",
     "Model",
     "PresolveCache",
@@ -54,7 +47,6 @@ __all__ = [
     "Sense",
     "Solution",
     "SolveStatus",
-    "SOLVER_PROFILES",
     "Var",
     "VarType",
     "model_signature",

@@ -10,24 +10,14 @@ two to bit-equal answers).  Fractional integral variables trigger two
 child nodes (floor / ceil bound splits); nodes whose LP bound cannot
 beat the incumbent are pruned.
 
-The solver runs one of two **profiles**:
-
-* ``"fast"`` (default) — the optimization layer: a presolve pass
-  (:mod:`repro.milp.presolve`) shrinks the model before the search,
-  **pseudo-cost branching** picks branching variables from observed
-  LP-bound degradations instead of raw fractionality, and the primal
-  heuristics (:mod:`repro.milp.heuristics`) supply early incumbents so
-  pruning bites sooner.  Telemetry gains ``solver.presolve``,
-  ``solver.branching`` and ``solver.heuristic`` events, and heuristic
-  incumbents carry ``source="heuristic"``.
-* ``"classic"`` — the historical search, byte-for-byte: no presolve,
-  most-fractional branching, and the original heuristic event sources
-  (``root_dive`` / ``dive`` / ``rounding``).  Kept as the trusted
-  differential baseline; ``tests/milp/test_differential.py`` pins that
-  both profiles return identical optimal objectives.
-
-Both profiles are exact: they prove optimality through LP bounds and
-differ only in how fast they get there.
+Around the search sit three layers that shrink it without changing an
+answer: a presolve pass (:mod:`repro.milp.presolve`) reduces the model
+first, **pseudo-cost branching** picks branching variables from
+observed LP-bound degradations instead of raw fractionality, and the
+primal heuristics (:mod:`repro.milp.heuristics`) supply early
+incumbents so pruning bites sooner.  The search is exact: it proves
+optimality through LP bounds, and ``tests/milp/test_differential.py``
+holds its answers to an exhaustive-enumeration oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +37,12 @@ from scipy.optimize import linprog
 
 from repro.milp import heuristics as _heuristics
 from repro.milp.model import Model, Var
-from repro.milp.presolve import PresolveCache, PresolveStatus, presolve
+from repro.milp.presolve import (
+    PresolveCache,
+    PresolvedModel,
+    PresolveStatus,
+    presolve,
+)
 from repro.milp.solution import Solution, SolveStatus
 from repro.telemetry import emit
 
@@ -59,12 +54,6 @@ WarmStart = Union[Dict[Var, float], Solution]
 
 _INT_TOL = 1e-6
 _OBJ_TOL = 1e-9
-
-#: Search profiles accepted by :class:`BranchBoundSolver`.
-PROFILE_FAST = "fast"
-PROFILE_CLASSIC = "classic"
-SOLVER_PROFILES = (PROFILE_FAST, PROFILE_CLASSIC)
-DEFAULT_PROFILE = PROFILE_FAST
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,7 +229,7 @@ class _Node:
 
 
 class _PseudoCosts:
-    """Per-variable branching statistics (fast profile only).
+    """Per-variable branching statistics.
 
     For every branching on variable ``j`` at LP value ``v`` with
     fractionality ``f = v - floor(v)``, the observed LP-bound
@@ -295,9 +284,6 @@ class BranchBoundSolver:
             returned with status FEASIBLE (or TIME_LIMIT if none).
         node_limit: Hard cap on explored nodes.
         gap_tolerance: Relative gap at which the search may stop early.
-        profile: ``"fast"`` (presolve + pseudo-cost branching + primal
-            heuristics) or ``"classic"`` (the historical search); see
-            the module docstring.
 
     Telemetry: when a sink is attached via :mod:`repro.telemetry`, the
     solver emits one ``solver.lp`` event per LP relaxation solved, one
@@ -310,11 +296,11 @@ class BranchBoundSolver:
     ``solver.incumbent`` stream trace the convergence trajectory
     (monotone non-increasing: the proven gap only ever shrinks, so an
     emitted gap is clamped by its predecessor when the relative
-    normalization would otherwise bounce it upward).  The fast profile
-    additionally emits ``solver.presolve`` (model reduction),
-    ``solver.branching`` (per branching decision) and
-    ``solver.heuristic`` (per heuristic attempt) events.  Without a
-    sink every emit is a no-op.
+    normalization would otherwise bounce it upward).  The solver also
+    emits ``solver.presolve`` (model reduction), ``solver.branching``
+    (per branching decision) and ``solver.heuristic`` (per heuristic
+    attempt) events, and heuristic incumbents carry
+    ``source="heuristic"``.  Without a sink every emit is a no-op.
     """
 
     def __init__(
@@ -322,22 +308,16 @@ class BranchBoundSolver:
         time_limit_s: float = 300.0,
         node_limit: int = 200_000,
         gap_tolerance: float = 1e-6,
-        profile: str = DEFAULT_PROFILE,
         presolve_cache: Optional[PresolveCache] = None,
     ) -> None:
         if time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
-        if profile not in SOLVER_PROFILES:
-            raise ValueError(
-                f"profile must be one of {SOLVER_PROFILES}, got {profile!r}"
-            )
         self.time_limit_s = time_limit_s
         self.node_limit = node_limit
         self.gap_tolerance = gap_tolerance
-        self.profile = profile
-        #: Optional cross-solve presolve memo (fast profile only): when
-        #: consecutive solves see structurally identical models (the
-        #: reconciler's replan loop), the reduction is reused via
+        #: Optional cross-solve presolve memo: when consecutive solves
+        #: see structurally identical models (the reconciler's replan
+        #: loop), the reduction is reused via
         #: :meth:`PresolveCache.fetch` instead of recomputed.
         self.presolve_cache = presolve_cache
 
@@ -349,7 +329,9 @@ class BranchBoundSolver:
     ) -> Solution:
         """Solve ``model``; ``initial`` optionally warm-starts the search.
 
-        A feasible ``initial`` assignment becomes the first incumbent,
+        Presolve reduces the model, the search solves the reduction,
+        and the answer is lifted back onto ``model``'s variables.  A
+        feasible ``initial`` assignment becomes the first incumbent,
         so the search starts with a pruning bound instead of hunting
         for one; an infeasible assignment is silently ignored.  A prior
         :class:`Solution` is accepted directly: its values are remapped
@@ -360,9 +342,42 @@ class BranchBoundSolver:
         """
         start = time.perf_counter()
         warm = self._coerce_initial(model, initial)
-        if self.profile == PROFILE_CLASSIC:
-            return self._finish(self._search(model, warm, start))
-        return self._finish(self._solve_fast(model, warm, start))
+        pres = (
+            self.presolve_cache.fetch(model)
+            if self.presolve_cache is not None
+            else presolve(model)
+        )
+        if pres.status == PresolveStatus.INFEASIBLE:
+            solution = Solution(
+                SolveStatus.INFEASIBLE,
+                wall_time_s=time.perf_counter() - start,
+            )
+        elif pres.status == PresolveStatus.SOLVED:
+            solution = self._solved_by_presolve(model, pres, start)
+        else:
+            projected = (
+                pres.project_values(warm) if warm is not None else None
+            )
+            inner = self._search(pres.model, projected, start)
+            solution = Solution(
+                inner.status,
+                objective=(
+                    inner.objective + pres.objective_offset
+                    if inner.objective is not None
+                    else None
+                ),
+                values=(
+                    pres.lift_values(inner.values)
+                    if inner.status.has_solution
+                    else inner.values
+                ),
+                nodes_explored=inner.nodes_explored,
+                lp_solves=inner.lp_solves,
+                wall_time_s=time.perf_counter() - start,
+                gap=inner.gap,
+            )
+        emit("solver.done", **solution.summary())
+        return solution
 
     @staticmethod
     def _coerce_initial(
@@ -381,67 +396,30 @@ class BranchBoundSolver:
                 continue
         return remapped or None
 
-    # ------------------------------------------------------------------
-    def _solve_fast(
-        self,
-        model: Model,
-        initial: Optional[Dict[Var, float]],
-        start: float,
+    @staticmethod
+    def _solved_by_presolve(
+        model: Model, pres: PresolvedModel, start: float
     ) -> Solution:
-        """Fast profile: presolve, solve the reduction, lift back."""
-        pres = (
-            self.presolve_cache.fetch(model)
-            if self.presolve_cache is not None
-            else presolve(model)
-        )
-        if pres.status == PresolveStatus.INFEASIBLE:
+        """The answer when presolve fixed every variable."""
+        values = dict(pres.fixed)
+        if not model.is_feasible(values):  # pragma: no cover - guard
             return Solution(
                 SolveStatus.INFEASIBLE,
                 wall_time_s=time.perf_counter() - start,
             )
-        if pres.status == PresolveStatus.SOLVED:
-            values = dict(pres.fixed)
-            if not model.is_feasible(values):  # pragma: no cover - guard
-                return Solution(
-                    SolveStatus.INFEASIBLE,
-                    wall_time_s=time.perf_counter() - start,
-                )
-            emit(
-                "solver.incumbent",
-                source="presolve",
-                objective=pres.objective_offset,
-                bound=pres.objective_offset,
-                gap=0.0,
-            )
-            return Solution(
-                SolveStatus.OPTIMAL,
-                objective=pres.objective_offset,
-                values=values,
-                wall_time_s=time.perf_counter() - start,
-                gap=0.0,
-            )
-
-        projected = (
-            pres.project_values(initial) if initial is not None else None
+        emit(
+            "solver.incumbent",
+            source="presolve",
+            objective=pres.objective_offset,
+            bound=pres.objective_offset,
+            gap=0.0,
         )
-        inner = self._search(pres.model, projected, start)
-        objective = inner.objective
-        values = inner.values
-        if inner.status.has_solution:
-            objective = (
-                inner.objective + pres.objective_offset
-                if inner.objective is not None
-                else None
-            )
-            values = pres.lift_values(inner.values)
         return Solution(
-            inner.status,
-            objective=objective,
+            SolveStatus.OPTIMAL,
+            objective=pres.objective_offset,
             values=values,
-            nodes_explored=inner.nodes_explored,
-            lp_solves=inner.lp_solves,
             wall_time_s=time.perf_counter() - start,
-            gap=inner.gap,
+            gap=0.0,
         )
 
     # ------------------------------------------------------------------
@@ -451,8 +429,7 @@ class BranchBoundSolver:
         initial: Optional[Dict[Var, float]],
         start: float,
     ) -> Solution:
-        """The branch & bound search itself (profile-parameterized)."""
-        fast = self.profile == PROFILE_FAST
+        """The branch & bound search itself, on the presolved model."""
         c, a_ub, b_ub, a_eq, b_eq, root_bounds = model.to_arrays()
         int_indices = [v.index for v in model.variables if v.is_integral]
         sign = -1.0 if model.maximize_objective else 1.0
@@ -559,16 +536,12 @@ class BranchBoundSolver:
             feasible,
             c,
             deadline,
-            telemetry=fast,
             sign=sign,
         )
         if dive is not None and dive[1] < incumbent_obj:
             incumbent, incumbent_obj = dive
             emit_incumbent(
-                "heuristic" if fast else "root_dive",
-                incumbent_obj,
-                root.fun,
-                **({"heuristic": "diving"} if fast else {}),
+                "heuristic", incumbent_obj, root.fun, heuristic="diving"
             )
 
         tie = itertools.count()
@@ -578,7 +551,7 @@ class BranchBoundSolver:
             id(root_bounds): (root.x, root.fun)
         }
 
-        pseudo = _PseudoCosts(len(root_bounds)) if fast else None
+        pseudo = _PseudoCosts(len(root_bounds))
         best_bound = root.fun
         timed_out = False
 
@@ -632,21 +605,20 @@ class BranchBoundSolver:
                     feasible,
                     c,
                     deadline,
-                    telemetry=fast,
                     sign=sign,
                 )
                 if dived is not None:
                     incumbent, incumbent_obj = dived
                     emit_incumbent(
-                        "heuristic" if fast else "dive",
+                        "heuristic",
                         incumbent_obj,
                         best_bound,
-                        **({"heuristic": "diving"} if fast else {}),
+                        heuristic="diving",
                     )
 
             # Rounding heuristic: snap integral vars, re-check.
             rounded = _heuristics.round_to_feasible(
-                x, int_indices, feasible, c, telemetry=fast, sign=sign
+                x, int_indices, feasible, c, sign=sign
             )
             if rounded is not None:
                 r_obj = float(c @ rounded)
@@ -654,10 +626,10 @@ class BranchBoundSolver:
                     incumbent = rounded
                     incumbent_obj = r_obj
                     emit_incumbent(
-                        "heuristic" if fast else "rounding",
+                        "heuristic",
                         incumbent_obj,
                         best_bound,
-                        **({"heuristic": "rounding"} if fast else {}),
+                        heuristic="rounding",
                     )
 
             value = x[frac_var]
@@ -674,14 +646,9 @@ class BranchBoundSolver:
                 if res.status != 0:
                     emit("solver.prune", where="child_infeasible")
                     continue
-                if pseudo is not None:
-                    width = (1.0 - frac) if child_up else frac
-                    if width > _INT_TOL:
-                        pseudo.update(
-                            frac_var,
-                            child_up,
-                            (res.fun - obj) / width,
-                        )
+                width = (1.0 - frac) if child_up else frac
+                if width > _INT_TOL:
+                    pseudo.update(frac_var, child_up, (res.fun - obj) / width)
                 if res.fun >= incumbent_obj - _OBJ_TOL:
                     emit(
                         "solver.prune",
@@ -741,30 +708,20 @@ class BranchBoundSolver:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _finish(solution: Solution) -> Solution:
-        """Emit the terminal ``solver.done`` event and pass through."""
-        emit("solver.done", **solution.summary())
-        return solution
-
-    # ------------------------------------------------------------------
     def _select_branch_var(
         self,
         x: np.ndarray,
         int_indices: List[int],
-        pseudo: Optional[_PseudoCosts],
+        pseudo: _PseudoCosts,
     ) -> Optional[int]:
         """Pick the branching variable, or None if ``x`` is integral.
 
-        Classic profile: the most fractional variable.  Fast profile:
-        reliability branching — most-fractional among variables not yet
+        Reliability branching: most-fractional among variables not yet
         observed in both directions (initializing their statistics),
         then the best product score of up/down pseudo-costs once every
-        fractional candidate is reliable.  Each fast-profile decision
-        emits one ``solver.branching`` event.
+        fractional candidate is reliable.  Each decision emits one
+        ``solver.branching`` event.
         """
-        if pseudo is None:
-            return self._most_fractional(x, int_indices)
         # Reliability rule: while any fractional variable still lacks
         # observations in either direction, branch most-fractional
         # among the unreliable ones — the branching itself gathers the
@@ -808,20 +765,6 @@ class BranchBoundSolver:
         return best_idx
 
     @staticmethod
-    def _most_fractional(
-        x: np.ndarray, int_indices: List[int]
-    ) -> Optional[int]:
-        """The integral variable farthest from an integer, or None."""
-        best_idx: Optional[int] = None
-        best_dist = _INT_TOL
-        for idx in int_indices:
-            dist = abs(x[idx] - round(x[idx]))
-            if dist > best_dist:
-                best_dist = dist
-                best_idx = idx
-        return best_idx
-
-    @staticmethod
     def _relative_gap(incumbent: float, bound: float) -> Optional[float]:
         """Relative incumbent-vs-bound gap in minimize space.
 
@@ -835,12 +778,6 @@ class BranchBoundSolver:
         return max(incumbent - bound, 0.0) / denom
 
 
-def solve(
-    model: Model,
-    time_limit_s: float = 300.0,
-    profile: str = DEFAULT_PROFILE,
-) -> Solution:
+def solve(model: Model, time_limit_s: float = 300.0) -> Solution:
     """Convenience wrapper: solve ``model`` with default settings."""
-    return BranchBoundSolver(
-        time_limit_s=time_limit_s, profile=profile
-    ).solve(model)
+    return BranchBoundSolver(time_limit_s=time_limit_s).solve(model)

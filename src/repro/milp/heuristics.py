@@ -2,8 +2,8 @@
 
 Branch & bound prunes with ``node bound >= incumbent``, so the sooner a
 good incumbent exists the smaller the tree.  This module hosts the two
-heuristics the solver runs (both profile-independent pure functions;
-the solver decides when to call them and what telemetry to emit):
+heuristics the solver runs (pure functions apart from their telemetry;
+the solver decides when to call them):
 
 * :func:`round_to_feasible` — snap the integral coordinates of an LP
   point and keep the result only if it is feasible.  Free (one
@@ -15,10 +15,10 @@ the solver decides when to call them and what telemetry to emit):
   solves.  A bounded depth keeps worst-case cost predictable: a dive
   either reaches an integral vertex quickly or is abandoned.
 
-When ``telemetry=True`` each call emits one ``solver.heuristic`` event
-(``heuristic`` = "rounding" / "diving", ``success``, and the candidate
-objective when found), which is how the fast profile makes heuristic
-activity observable in the experiment journal.
+Each call emits one ``solver.heuristic`` event (``heuristic`` =
+"rounding" / "diving", ``success``, and the candidate objective when
+found), which makes heuristic activity observable in the experiment
+journal.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ def round_to_feasible(
     int_indices: List[int],
     feasible: FeasibleFn,
     c: Optional[np.ndarray] = None,
-    telemetry: bool = False,
     sign: float = 1.0,
 ) -> Optional[np.ndarray]:
     """Round integral vars of an LP point; keep it only if feasible.
@@ -59,17 +58,14 @@ def round_to_feasible(
     for idx in int_indices:
         candidate[idx] = round(candidate[idx])
     ok = feasible(candidate)
-    if telemetry:
-        emit(
-            "solver.heuristic",
-            heuristic="rounding",
-            success=bool(ok),
-            objective=(
-                sign * float(c @ candidate)
-                if ok and c is not None
-                else None
-            ),
-        )
+    emit(
+        "solver.heuristic",
+        heuristic="rounding",
+        success=bool(ok),
+        objective=(
+            sign * float(c @ candidate) if ok and c is not None else None
+        ),
+    )
     return candidate if ok else None
 
 
@@ -82,7 +78,6 @@ def bounded_dive(
     c: np.ndarray,
     deadline: Optional[float] = None,
     max_rounds: int = 60,
-    telemetry: bool = False,
     sign: float = 1.0,
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Dive from an LP point toward an integral vertex.
@@ -140,11 +135,10 @@ def bounded_dive(
         if res is None or res.status != 0:
             break
         x = res.x
-    if telemetry:
-        emit(
-            "solver.heuristic",
-            heuristic="diving",
-            success=result is not None,
-            objective=sign * result[1] if result is not None else None,
-        )
+    emit(
+        "solver.heuristic",
+        heuristic="diving",
+        success=result is not None,
+        objective=sign * result[1] if result is not None else None,
+    )
     return result

@@ -5,7 +5,7 @@ tightening bounds and deleting constraints that can never bind; on the
 deployment models of this repo (P#1 and the baseline ILPs) that loop
 removes a meaningful share of the binaries the product linearization
 introduces, which shrinks every LP the search solves and cuts the node
-count.  The pass here implements the classic safe subset:
+count.  The pass here implements the standard safe subset:
 
 * **Integer bound rounding** — an integral variable's bounds snap to
   ``ceil(lb)`` / ``floor(ub)``.

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.milp.branch_bound import DEFAULT_PROFILE
-
 #: Per-op parameter defaults; also the schema — unknown keys are
 #: rejected so a typo'd param fails loudly instead of silently using a
 #: default (the CLI can never send one, but a raw protocol client can).
@@ -40,7 +38,6 @@ DEPLOY_DEFAULTS: Dict[str, Any] = {
     "mode": "heuristic",
     "epsilon2": None,
     "time_limit_s": 30.0,
-    "solver_profile": DEFAULT_PROFILE,
     "replicate": False,
     "verify": False,
     "configs": False,
@@ -57,7 +54,6 @@ SIMULATE_DEFAULTS: Dict[str, Any] = {
     "seed": None,
     "mode": "heuristic",
     "time_limit_s": 30.0,
-    "solver_profile": DEFAULT_PROFILE,
     "engine": "analytic",
     "load": None,
     "overhead": None,
@@ -136,7 +132,6 @@ def deploy_op(params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         epsilon2=p["epsilon2"],
         time_limit_s=p["time_limit_s"],
         replicate_hubs="auto" if p["replicate"] else False,
-        solver_profile=p["solver_profile"],
     )
     start = time.perf_counter()
     result = hermes.deploy(programs, network)
@@ -283,11 +278,7 @@ def simulate_op(
             network = parse_topology(p["topology"], seed=p["seed"])
         except (ValueError, KeyError) as exc:
             raise OpError(str(exc)) from exc
-        hermes = Hermes(
-            mode=p["mode"],
-            time_limit_s=p["time_limit_s"],
-            solver_profile=p["solver_profile"],
-        )
+        hermes = Hermes(mode=p["mode"], time_limit_s=p["time_limit_s"])
         plan = hermes.deploy(programs, network).plan
         doc["deploy"] = {
             "fingerprint": plan.fingerprint(),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.coordination import CoordinationAnalysis
-from repro.core.deployment import DeploymentPlan
+from repro.plan import DeploymentPlan
 from repro.core.verification import verify_dataflow
 from repro.dataplane.actions import Action, ActionPrimitive
 from repro.dataplane.mat import Mat

@@ -36,6 +36,7 @@ Axes by kind:
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
@@ -184,7 +185,7 @@ def _parse_frameworks_axis(raw: Any) -> Any:
     if isinstance(raw, dict):
         unknown = set(raw) - {
             "set", "ilp_time_limit_s", "per_program_ilp_time_limit_s",
-            "include_optimal", "solver_profile",
+            "include_optimal",
         }
         if unknown:
             raise SuiteSpecError(
@@ -220,11 +221,17 @@ def _parse_frameworks_axis(raw: Any) -> Any:
         raise SuiteSpecError("axis 'frameworks' is empty")
     from repro.suite.compiler import FRAMEWORK_REGISTRY
 
-    for name, _ in entries:
+    for name, kwargs in entries:
         if name not in FRAMEWORK_REGISTRY:
             raise SuiteSpecError(
                 f"unknown framework {name!r}; known: "
                 f"{sorted(FRAMEWORK_REGISTRY)}"
+            )
+        params = inspect.signature(FRAMEWORK_REGISTRY[name]).parameters
+        unknown = sorted(set(kwargs) - set(params))
+        if unknown:
+            raise SuiteSpecError(
+                f"unknown keys for framework {name!r}: {unknown}"
             )
     return tuple(entries)
 

@@ -5,7 +5,7 @@ import pytest
 from repro.control import Controller, MigrationPlanner
 from repro.control.migration import surviving_network
 from repro.core import Hermes
-from repro.core.deployment import DeploymentError
+from repro.plan import DeploymentError
 from repro.core.verification import verify_dataflow
 from repro.dataplane.rules import MatchKind, MatchSpec, Rule
 from repro.network import linear_topology, random_wan

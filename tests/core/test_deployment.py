@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.deployment import (
+from repro.plan import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
@@ -316,12 +316,11 @@ class TestValidation:
             net=net,
             route=False,
         )
-        with pytest.warns(DeprecationWarning, match="routing"):
-            # The historical mutation pattern still works for one
-            # release, with a warning.
-            plan.routing = {("s0", "s1"): paths.shortest("s1", "s0")}
+        backwards = {("s0", "s1"): paths.shortest("s1", "s0")}
+        with pytest.raises(AttributeError, match="immutable"):
+            plan.routing = backwards
         with pytest.raises(DeploymentError, match="runs"):
-            plan.validate()
+            plan.with_routing(backwards).validate()
 
     def test_switch_of_unknown(self):
         plan = self.make(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import parse_workload
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentError
+from repro.plan import DeploymentError
 from repro.core.formulation import (
     HermesMilp,
     MilpFormulation,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentError
+from repro.plan import DeploymentError
 from repro.core.formulation import HermesMilp
 from repro.core.formulation_stagewise import StagewiseMilp
 from repro.core.heuristic import GreedyHeuristic

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentPlan, MatPlacement
+from repro.plan import DeploymentPlan, MatPlacement
 from repro.core.heuristic import GreedyHeuristic
 from repro.core.verification import (
     DataflowError,

@@ -121,10 +121,6 @@ PERTURBATIONS = [
     ("end_to_end_flag", dict(with_end_to_end=False)),
     ("framework_config", dict(time_limit=0.7)),
     ("framework_class", dict(framework=Ffl())),
-    (
-        "solver_profile",
-        dict(framework=MinStage(time_limit_s=0.5, solver_profile="classic")),
-    ),
 ]
 
 

@@ -1,15 +1,23 @@
 """Shared machinery for the solver's differential test suites.
 
-Two pieces:
+Three pieces:
 
-* :func:`enumerate_oracle` — the trusted reference: exhaustive
-  enumeration of every integral assignment of a small pure-integer
-  model.  It shares no code with the branch & bound solver (it never
-  solves an LP), so agreement between the two is genuine evidence.
+* :func:`enumerate_solution` / :func:`enumerate_oracle` — the trusted
+  reference: exhaustive enumeration of every integral assignment of a
+  small pure-integer model, returning an optimal assignment or its
+  objective.  It shares no code with the branch & bound solver (it
+  never solves an LP), so agreement between the two is genuine
+  evidence.
 * :func:`random_milp` — a seeded generator of small pure-integer
   models (<= 8 variables, bounded domains) spanning minimize and
   maximize senses, <=/>=/== constraints, negative bounds and a
   deliberate mix of feasible and infeasible instances.
+* :class:`ClassicSearch` — the solver's branch & bound loop in its
+  historical configuration (no presolve, most-fractional branching),
+  a second search the shipped one must agree with.  It runs the loop
+  on models exactly as written, which presolve would otherwise
+  reduce before the search sees them.  :data:`PROFILES` names the two
+  searches and :func:`solve_as` runs either.
 
 Both the differential tests and the Hypothesis presolve properties
 import from here, so the oracle and the instance distribution are
@@ -19,12 +27,16 @@ pinned in exactly one place.
 import itertools
 import math
 import random
-from typing import Optional
+import time
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.milp.branch_bound import _INT_TOL, BranchBoundSolver
 from repro.milp.expr import LinExpr
-from repro.milp.model import Model
+from repro.milp.model import Model, Var
+from repro.milp.solution import Solution
+from repro.telemetry import emit
 
 #: Cap on the enumeration grid; the generator shrinks domains to stay
 #: under it so the oracle stays sub-second per instance.
@@ -33,13 +45,9 @@ MAX_GRID = 6000
 _FEAS_TOL = 1e-9
 
 
-def enumerate_oracle(model: Model) -> Optional[float]:
-    """Optimal objective of a small pure-integer model, by brute force.
-
-    Returns the optimum in the model's own sense (un-negated for
-    maximization), or ``None`` when no integral assignment is feasible.
-    Requires every variable to be integral with finite bounds.
-    """
+def _enumerate(model: Model) -> Optional[Tuple[float, np.ndarray]]:
+    """``(objective in minimize space, point)`` of the first optimum in
+    enumeration order, or ``None`` when nothing is feasible."""
     c, a_ub, b_ub, a_eq, b_eq, bounds = model.to_arrays()
     for var, (lo, hi) in zip(model.variables, bounds):
         if not var.is_integral or math.isinf(lo) or math.isinf(hi):
@@ -57,11 +65,31 @@ def enumerate_oracle(model: Model) -> Optional[float]:
         if a_eq is not None and (np.abs(a_eq @ x - b_eq) > _FEAS_TOL).any():
             continue
         value = float(c @ x)
-        if best is None or value < best:
-            best = value
+        if best is None or value < best[0]:
+            best = (value, x)
+    return best
+
+
+def enumerate_oracle(model: Model) -> Optional[float]:
+    """Optimal objective of a small pure-integer model, by brute force.
+
+    Returns the optimum in the model's own sense (un-negated for
+    maximization), or ``None`` when no integral assignment is feasible.
+    Requires every variable to be integral with finite bounds.
+    """
+    best = _enumerate(model)
     if best is None:
         return None
-    return -best if model.maximize_objective else best
+    return -best[0] if model.maximize_objective else best[0]
+
+
+def enumerate_solution(model: Model) -> Optional[Dict[Var, float]]:
+    """An optimal assignment of the same model, by the same enumeration
+    (the first optimum in enumeration order), or ``None``."""
+    best = _enumerate(model)
+    if best is None:
+        return None
+    return {var: float(best[1][var.index]) for var in model.variables}
 
 
 def random_milp(seed: int) -> Model:
@@ -109,3 +137,40 @@ def random_milp(seed: int) -> Model:
     else:
         model.maximize(objective)
     return model
+
+
+class ClassicSearch(BranchBoundSolver):
+    """The branch & bound loop without presolve, branching on the most
+    fractional variable (the search's configuration before presolve
+    and pseudo-cost branching were added)."""
+
+    def solve(self, model: Model, initial=None) -> Solution:
+        start = time.perf_counter()
+        solution = self._search(
+            model, self._coerce_initial(model, initial), start
+        )
+        emit("solver.done", **solution.summary())
+        return solution
+
+    def _select_branch_var(
+        self, x: np.ndarray, int_indices: List[int], pseudo
+    ) -> Optional[int]:
+        best_idx: Optional[int] = None
+        best_dist = _INT_TOL
+        for idx in int_indices:
+            dist = abs(x[idx] - round(x[idx]))
+            if dist > best_dist:
+                best_dist = dist
+                best_idx = idx
+        return best_idx
+
+
+#: The searches the differential suites run, by test-case name:
+#: ``fast`` is the shipped solver, ``classic`` is :class:`ClassicSearch`.
+SEARCHES = {"fast": BranchBoundSolver, "classic": ClassicSearch}
+PROFILES = tuple(SEARCHES)
+
+
+def solve_as(model: Model, profile: str, **solver_kwargs) -> Solution:
+    """Solve ``model`` with the search ``profile`` names."""
+    return SEARCHES[profile](**solver_kwargs).solve(model)

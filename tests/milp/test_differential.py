@@ -1,16 +1,19 @@
 """Differential oracle suite: fast == classic == brute force.
 
-The ``fast`` solver profile (presolve + pseudo-cost branching + primal
-heuristics) exists to shrink the search, never to change an answer.
-This suite pins that contract three ways:
+The solver's presolve, pseudo-cost branching and primal heuristics
+exist to shrink the search, never to change an answer.  This suite
+pins that contract three ways:
 
 * On hand-picked golden instances and a seeded stream of random
-  pure-integer models, both profiles return the exact optimal
-  objective of :func:`milp_testkit.enumerate_oracle` — a brute-force
-  enumerator that shares no code with the solver.
-* Infeasible instances are reported INFEASIBLE by both profiles.
+  pure-integer models, the shipped search (``fast``) and the branch &
+  bound loop without presolve or pseudo-costs
+  (``classic``, :class:`milp_testkit.ClassicSearch`) both return the
+  exact optimal objective of :func:`milp_testkit.enumerate_oracle` — a
+  brute-force enumerator that shares no code with the solver.
+* Infeasible instances are reported INFEASIBLE by both searches.
 * Presolve's ``lift_values`` round-trips fixed variables verbatim and
-  lifted assignments are feasible in the *original* model.
+  lifts an optimum of the reduction (found by the enumerator) onto an
+  optimum of the *original* model.
 
 The default run covers a fast-lane slice of the seed stream; the full
 200-seed sweep (the acceptance bar) is marked ``slow`` and runs in the
@@ -19,8 +22,13 @@ weekly CI cron.
 
 import pytest
 
-from milp_testkit import enumerate_oracle, random_milp
-from repro.milp.branch_bound import SOLVER_PROFILES, solve
+from milp_testkit import (
+    PROFILES,
+    enumerate_oracle,
+    enumerate_solution,
+    random_milp,
+    solve_as,
+)
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model
 from repro.milp.presolve import PresolveStatus, presolve
@@ -89,7 +97,7 @@ def assert_matches_oracle(model, profile):
     """One differential check: solver vs enumeration, plus feasibility
     of the returned assignment in the original (un-presolved) model."""
     oracle = enumerate_oracle(model)
-    solution = solve(model, profile=profile)
+    solution = solve_as(model, profile)
     if oracle is None:
         assert solution.status is SolveStatus.INFEASIBLE
         assert solution.objective is None
@@ -108,7 +116,7 @@ def assert_matches_oracle(model, profile):
 
 
 class TestGoldenInstances:
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize(
         "build", [g[1] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
     )
@@ -119,8 +127,8 @@ class TestGoldenInstances:
         "build", [g[1] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
     )
     def test_profiles_agree_exactly(self, build):
-        fast = solve(build(), profile="fast")
-        classic = solve(build(), profile="classic")
+        fast = solve_as(build(), "fast")
+        classic = solve_as(build(), "classic")
         assert fast.status is classic.status
         if fast.objective is None:
             assert classic.objective is None
@@ -131,13 +139,13 @@ class TestGoldenInstances:
 
 
 class TestRandomInstances:
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("seed", FAST_LANE_SEEDS)
     def test_fast_lane_sweep(self, seed, profile):
         assert_matches_oracle(random_milp(seed), profile)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("seed", FULL_SWEEP_SEEDS)
     def test_full_sweep(self, seed, profile):
         assert_matches_oracle(random_milp(seed), profile)
@@ -159,16 +167,20 @@ class TestPresolveRoundTrip:
         pres = presolve(model)
         if pres.status != PresolveStatus.REDUCED:
             return
-        reduced_solution = solve(pres.model, profile="classic")
-        if not reduced_solution.status.has_solution:
+        reduced_optimum = enumerate_solution(pres.model)
+        if reduced_optimum is None:
             return
-        lifted = pres.lift_values(reduced_solution.values)
+        lifted = pres.lift_values(reduced_optimum)
         assert set(lifted) == set(model.variables)
         for var, value in pres.fixed.items():
             # Exact round-trip, not approximate: fixed values must pass
             # through lift_values untouched.
             assert lifted[var] == value
         assert model.is_feasible(lifted)
+        # The lifted point is an optimum of the original model.
+        assert model.objective_value(lifted) - model.objective.constant == (
+            pytest.approx(enumerate_oracle(model), abs=1e-6)
+        )
 
     def test_fully_solved_model_lifts_exactly(self):
         m = Model()
@@ -185,7 +197,7 @@ class TestPresolveRoundTrip:
     @pytest.mark.parametrize("seed", FAST_LANE_SEEDS)
     def test_reduction_preserves_optimum(self, seed):
         """Solving the reduction and adding the offset equals solving
-        the original — the invariant behind the whole fast profile."""
+        the original — the invariant behind presolving every solve."""
         model = random_milp(seed)
         pres = presolve(model)
         oracle = enumerate_oracle(model)
@@ -196,12 +208,11 @@ class TestPresolveRoundTrip:
             assert oracle is not None
             assert pres.objective_offset == pytest.approx(oracle, abs=1e-6)
             return
-        inner = solve(pres.model, profile="classic")
+        inner = enumerate_oracle(pres.model)
         if oracle is None:
-            assert inner.status is SolveStatus.INFEASIBLE
+            assert inner is None
         else:
-            assert inner.status is SolveStatus.OPTIMAL
-            assert inner.objective + pres.objective_offset == pytest.approx(
+            assert inner + pres.objective_offset == pytest.approx(
                 oracle, abs=1e-6
             )
 

@@ -9,8 +9,8 @@ stays the oracle:
   objective and a bit-equal ``x`` under both backends: over the golden
   instances, the seeded random-MILP stream and a small deployment
   model, and (slow-marked) the ten Table III "Optimal" deploys.
-* Forcing the fallback returns an identical :class:`Solution` on both
-  solver profiles.
+* Forcing the fallback returns an identical :class:`Solution`, under
+  both the shipped search and :class:`milp_testkit.ClassicSearch`.
 * An infeasible and an unbounded root map to the same
   :class:`SolveStatus` as under ``linprog``.
 """
@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from milp_testkit import random_milp
+from milp_testkit import PROFILES, SEARCHES, random_milp, solve_as
 from repro.core.analyzer import ProgramAnalyzer
+from repro.core import formulation
 from repro.core.formulation import HermesMilp
 from repro.milp import branch_bound
-from repro.milp.branch_bound import SOLVER_PROFILES, solve
+from repro.milp.branch_bound import solve
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model
 from repro.milp.solution import SolveStatus
@@ -87,14 +88,14 @@ def solutions_equal(a, b):
     }
 
 
-def deployment_model_solve(**kwargs):
+def deployment_model_solve():
     """A small P#1 deploy: continuous and binary columns, == rows."""
     programs = [
         make_sketch_program(f"p{i}", index_bytes=2 + i) for i in range(4)
     ]
     tdg = ProgramAnalyzer().analyze(programs)
     network = linear_topology(3, num_stages=4, stage_capacity=1.0)
-    return HermesMilp(time_limit_s=60, **kwargs).deploy(tdg, network)
+    return HermesMilp(time_limit_s=60).deploy(tdg, network)
 
 
 def unbounded_root():
@@ -118,30 +119,33 @@ def infeasible_root():
 
 
 class TestEveryLpMatchesLinprog:
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize(
         "build", [g[1] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
     )
     def test_golden(self, paired, build, profile):
-        solve(build(), profile=profile)
+        solve_as(build(), profile)
         assert_same_lps(paired)
 
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("seed", FAST_LANE_SEEDS)
     def test_fast_lane_sweep(self, paired, seed, profile):
-        solve(random_milp(seed), profile=profile)
+        solve_as(random_milp(seed), profile)
         assert_same_lps(paired)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("seed", FULL_SWEEP_SEEDS)
     def test_full_sweep(self, paired, seed, profile):
-        solve(random_milp(seed), profile=profile)
+        solve_as(random_milp(seed), profile)
         assert_same_lps(paired)
 
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
-    def test_deployment_model(self, paired, profile):
-        deployment_model_solve(solver_profile=profile)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_deployment_model(self, paired, monkeypatch, profile):
+        monkeypatch.setattr(
+            formulation, "BranchBoundSolver", SEARCHES[profile]
+        )
+        deployment_model_solve()
         assert_same_lps(paired)
         assert len(paired) > 1
 
@@ -172,12 +176,12 @@ class TestEveryLpMatchesLinprog:
 
 class TestFallback:
     def fallback_and_persistent(self, monkeypatch, build, profile):
-        persistent = solve(build(), profile=profile)
+        persistent = solve_as(build(), profile)
         monkeypatch.setattr(branch_bound, "_highs_api", lambda: None)
-        fallback = solve(build(), profile=profile)
+        fallback = solve_as(build(), profile)
         return fallback, persistent
 
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize(
         "build",
         [g[1] for g in GOLDEN] + [lambda: random_milp(7)],
@@ -207,7 +211,7 @@ class TestFallback:
         monkeypatch.setattr(branch_bound, "linprog", refuse)
         assert solve(GOLDEN[0][1]()).status is SolveStatus.OPTIMAL
 
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize(
         "build, status",
         [

@@ -10,11 +10,8 @@ consistently ``0.0`` (never ``None``) on OPTIMAL.
 
 import pytest
 
-from repro.milp.branch_bound import (
-    SOLVER_PROFILES,
-    BranchBoundSolver,
-    solve,
-)
+from milp_testkit import PROFILES, SEARCHES
+from repro.milp.branch_bound import BranchBoundSolver, solve
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
@@ -48,10 +45,10 @@ def covering(n=6):
     return m
 
 
-def solve_recorded(model, **solver_kwargs):
+def solve_recorded(model, profile="fast", **solver_kwargs):
     rec = Recorder()
     with attached(rec):
-        solution = BranchBoundSolver(**solver_kwargs).solve(model)
+        solution = SEARCHES[profile](**solver_kwargs).solve(model)
     return solution, rec
 
 
@@ -93,7 +90,7 @@ class TestEventCounts:
 
 
 class TestGapTrajectory:
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize(
         "model", [knapsack(), covering()], ids=["knapsack", "covering"]
     )
@@ -110,7 +107,7 @@ class TestGapTrajectory:
         )
         assert all(g >= -1e-9 for g in gaps)
 
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", PROFILES)
     def test_gap_monotone_with_near_zero_incumbent(self, profile):
         # The regression this pins: an incumbent objective approaching
         # zero shrinks the relative-gap denominator, which used to
@@ -137,13 +134,13 @@ class TestGapTrajectory:
 
 
 class TestProfileTelemetry:
-    """The fast profile's extra event stream, and classic's absence of it."""
+    """The shipped search's presolve, branching and heuristic events."""
 
     @pytest.mark.parametrize(
         "model", [knapsack(), covering()], ids=["knapsack", "covering"]
     )
     def test_fast_emits_presolve_and_branching(self, model):
-        solution, rec = solve_recorded(model, profile="fast")
+        solution, rec = solve_recorded(model)
         assert rec.count("solver.presolve") == 1
         assert rec.count("solver.branching") >= 1
         assert rec.count("solver.heuristic") >= 1
@@ -154,19 +151,8 @@ class TestProfileTelemetry:
     @pytest.mark.parametrize(
         "model", [knapsack(), covering()], ids=["knapsack", "covering"]
     )
-    def test_classic_stream_is_unchanged(self, model):
-        _, rec = solve_recorded(model, profile="classic")
-        assert rec.count("solver.presolve") == 0
-        assert rec.count("solver.branching") == 0
-        assert rec.count("solver.heuristic") == 0
-        for event in rec.of_kind("solver.incumbent"):
-            assert event["source"] != "heuristic"
-
-    @pytest.mark.parametrize(
-        "model", [knapsack(), covering()], ids=["knapsack", "covering"]
-    )
     def test_fast_heuristic_incumbents_carry_source(self, model):
-        _, rec = solve_recorded(model, profile="fast")
+        _, rec = solve_recorded(model)
         heuristic_incumbents = [
             e
             for e in rec.of_kind("solver.incumbent")
@@ -177,12 +163,12 @@ class TestProfileTelemetry:
         )
         for event in heuristic_incumbents:
             assert event["heuristic"] in ("diving", "rounding")
-        # Classic's heuristic sources never leak into the fast stream.
+        # Every incumbent names one of the search's sources.
         sources = {e["source"] for e in rec.of_kind("solver.incumbent")}
-        assert sources.isdisjoint({"root_dive", "dive", "rounding"})
+        assert sources <= {"warm_start", "heuristic", "node", "presolve"}
 
     def test_heuristic_events_report_objective_on_success(self):
-        _, rec = solve_recorded(covering(), profile="fast")
+        _, rec = solve_recorded(covering())
         for event in rec.of_kind("solver.heuristic"):
             assert event["heuristic"] in ("diving", "rounding")
             if event["success"]:
@@ -191,7 +177,7 @@ class TestProfileTelemetry:
                 assert event["objective"] is None
 
     def test_branching_events_name_their_rule(self):
-        _, rec = solve_recorded(covering(), profile="fast")
+        _, rec = solve_recorded(covering())
         rules = [e["rule"] for e in rec.of_kind("solver.branching")]
         assert set(rules) <= {"most_fractional", "pseudo_cost"}
         # The first decision has no pseudo-cost observations yet; once
@@ -205,7 +191,7 @@ class TestProfileTelemetry:
         y = m.add_integer("y", 3, 3)
         m.add_constr(x + y <= 5)
         m.minimize(x + y)
-        solution, rec = solve_recorded(m, profile="fast")
+        solution, rec = solve_recorded(m)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(5.0)
         assert solution.lp_solves == 0

@@ -512,7 +512,7 @@ class TestDeploymentExecutability:
     ):
         """Any plan the heuristic emits must verify AND run packets."""
         from repro.core.analyzer import ProgramAnalyzer
-        from repro.core.deployment import DeploymentError
+        from repro.plan import DeploymentError
         from repro.core.heuristic import GreedyHeuristic
         from repro.core.verification import verify_dataflow
         from repro.network.generators import linear_topology
@@ -577,7 +577,7 @@ class TestFailureInjection:
         yield a valid, dataflow-verified re-deployment."""
         from repro.control import MigrationPlanner
         from repro.core.analyzer import ProgramAnalyzer
-        from repro.core.deployment import DeploymentError
+        from repro.plan import DeploymentError
         from repro.core.heuristic import GreedyHeuristic
         from repro.core.verification import verify_dataflow
         from repro.workloads.synthetic import (

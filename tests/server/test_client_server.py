@@ -20,11 +20,19 @@ class TestBasics:
             }
 
     def test_invalid_params_error_envelope(self, server):
+        # ``solver_profile`` named a search that no longer exists; a
+        # request still carrying it fails like any unknown param.
+        requests = [
+            ("deploy", "bogus"),
+            ("deploy", "solver_profile"),
+            ("simulate", "solver_profile"),
+        ]
         with ReproClient.connect(server.address) as client:
-            with pytest.raises(ServerError) as err:
-                client.request("deploy", {"bogus": 1})
-            assert err.value.code == "invalid_params"
-            assert "bogus" in err.value.server_message
+            for op, key in requests:
+                with pytest.raises(ServerError) as err:
+                    client.request(op, {key: 1})
+                assert err.value.code == "invalid_params"
+                assert f"unknown params: {key}" in err.value.server_message
             # The connection survives an op error.
             assert client.ping()["pong"] is True
 

@@ -5,6 +5,7 @@ import pytest
 from repro.runtime import StoreReloadError
 from repro.server.ops import (
     DEPLOY_DEFAULTS,
+    SIMULATE_DEFAULTS,
     OpError,
     resolve_params,
 )
@@ -26,6 +27,9 @@ class TestResolveParams:
     def test_unknown_keys_rejected(self):
         with pytest.raises(OpError, match="unknown params: bogus"):
             resolve_params({"bogus": 1}, DEPLOY_DEFAULTS)
+        for defaults in (DEPLOY_DEFAULTS, SIMULATE_DEFAULTS):
+            with pytest.raises(OpError, match="unknown params: solver_"):
+                resolve_params({"solver_profile": "fast"}, defaults)
 
 
 class TestSolveKey:

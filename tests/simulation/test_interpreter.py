@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Hermes
-from repro.core.deployment import DeploymentPlan, MatPlacement
+from repro.plan import DeploymentPlan, MatPlacement
 from repro.dataplane import (
     Mat,
     Program,

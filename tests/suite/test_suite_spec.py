@@ -125,15 +125,25 @@ class TestValidation:
             SuiteSpec.from_dict(doc)
 
     def test_frameworks_set_unknown_key(self):
-        doc = minimal("deployment")
-        doc["axes"]["frameworks"] = {"set": "paper", "bogus": 1}
-        with pytest.raises(SuiteSpecError, match="unknown keys"):
-            SuiteSpec.from_dict(doc)
+        # ``solver_profile`` selected a search that no longer exists.
+        for key in ("bogus", "solver_profile"):
+            doc = minimal("deployment")
+            doc["axes"]["frameworks"] = {"set": "paper", key: "classic"}
+            with pytest.raises(SuiteSpecError, match="unknown keys"):
+                SuiteSpec.from_dict(doc)
 
     def test_frameworks_unknown_name(self):
         doc = minimal("deployment")
         doc["axes"]["frameworks"] = ["hermes", "nonsense"]
         with pytest.raises(SuiteSpecError, match="unknown framework"):
+            SuiteSpec.from_dict(doc)
+
+    def test_frameworks_entry_unknown_key(self):
+        doc = minimal("deployment")
+        doc["axes"]["frameworks"] = [
+            {"name": "speed", "solver_profile": "classic"}
+        ]
+        with pytest.raises(SuiteSpecError, match="unknown keys"):
             SuiteSpec.from_dict(doc)
 
     def test_frameworks_empty_list(self):
